@@ -19,12 +19,13 @@ import (
 // cross-validation and progressive elimination. CI gates on
 // overall.speedup and on every identity flag.
 type analysisBenchDoc struct {
-	Workload     string `json:"workload"`
-	Runs         int    `json:"runs"`
-	RawFeatures  int    `json:"raw_features"`
-	UsedFeatures int    `json:"used_features"`
-	TrainRows    int    `json:"train_rows"`
-	TrainNNZ     int    `json:"train_nnz"`
+	Env          benchEnv `json:"env"`
+	Workload     string   `json:"workload"`
+	Runs         int      `json:"runs"`
+	RawFeatures  int      `json:"raw_features"`
+	UsedFeatures int      `json:"used_features"`
+	TrainRows    int      `json:"train_rows"`
+	TrainNNZ     int      `json:"train_nnz"`
 
 	Build struct {
 		DenseSeconds  float64 `json:"dense_seconds"`
@@ -45,7 +46,8 @@ type analysisBenchDoc struct {
 		DenseAllocs      float64 `json:"dense_allocs"`
 		SparseAllocs     float64 `json:"sparse_allocs"`
 		Speedup          float64 `json:"speedup"`
-		// Identical: Beta0 and every coefficient bitwise equal.
+		// Identical: Beta0 and every coefficient bitwise equal (by
+		// Float64bits, so -0 and +0 differ).
 		Identical bool `json:"identical"`
 	} `json:"train"`
 
@@ -108,6 +110,7 @@ func analyze() error {
 	trainR, cvR, _ := logreg.Split(db.Reports, 0.62, 0.07, *seed+1)
 
 	var doc analysisBenchDoc
+	doc.Env = currentEnv()
 	doc.Workload = "bc"
 	doc.Runs = db.Len()
 	doc.RawFeatures = built.Program.NumCounters
@@ -145,7 +148,7 @@ func analyze() error {
 	doc.Train.DenseRowsPerSec = rows / doc.Train.DenseSeconds
 	doc.Train.SparseRowsPerSec = rows / doc.Train.SparseSeconds
 	doc.Train.Speedup = doc.Train.DenseSeconds / doc.Train.SparseSeconds
-	doc.Train.Identical = dm.Beta0 == sm.Beta0 && reflect.DeepEqual(dm.Beta, sm.Beta)
+	doc.Train.Identical = sm.SameBits(dm)
 	fmt.Printf("train (lambda %g, %d epochs):\n", tc.Lambda, epochs)
 	fmt.Printf("  dense  %.3fs (%.0f rows/s, %.0f allocs)\n", doc.Train.DenseSeconds, doc.Train.DenseRowsPerSec, doc.Train.DenseAllocs)
 	fmt.Printf("  sparse %.3fs (%.0f rows/s, %.0f allocs) — %.2fx, identical=%v\n",
@@ -166,7 +169,7 @@ func analyze() error {
 	doc.CV.SparseRowsPerSec = cvRows / doc.CV.SparseParallelSeconds
 	doc.CV.Speedup = doc.CV.DenseSerialSeconds / doc.CV.SparseParallelSeconds
 	doc.CV.SameLambda = dl == sl
-	doc.CV.SameModel = dcvModel.Beta0 == scvModel.Beta0 && reflect.DeepEqual(dcvModel.Beta, scvModel.Beta)
+	doc.CV.SameModel = scvModel.SameBits(dcvModel)
 	doc.CV.SameTop10 = reflect.DeepEqual(dcvModel.TopFeatures(10), scvModel.TopFeatures(10))
 	fmt.Printf("cross-validation (%d lambdas):\n", len(lambdas))
 	fmt.Printf("  dense serial    %.3fs (%.0f rows/s)\n", doc.CV.DenseSerialSeconds, doc.CV.DenseRowsPerSec)

@@ -24,6 +24,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 
@@ -53,6 +56,49 @@ func benchOutPath(def string) string {
 		return *benchOut
 	}
 	return def
+}
+
+// benchEnv records the machine and code a BENCH_*.json document was
+// measured on, so figures from different runs can be compared.
+type benchEnv struct {
+	Commit     string `json:"commit"`
+	NumCPU     int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+}
+
+func currentEnv() benchEnv {
+	return benchEnv{Commit: commit(), NumCPU: runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()}
+}
+
+// commit names the source revision: the binary's VCS stamp or, under
+// `go run` (which stamps none), git's HEAD. "+dirty" marks uncommitted
+// changes to tracked files; "unknown" means neither source answered.
+func commit() string {
+	rev, dirty := "", false
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				rev = s.Value
+			case "vcs.modified":
+				dirty = s.Value == "true"
+			}
+		}
+	}
+	if rev == "" {
+		out, err := exec.Command("git", "rev-parse", "HEAD").Output()
+		if err != nil {
+			return "unknown"
+		}
+		rev = strings.TrimSpace(string(out))
+		dirty = exec.Command("git", "diff", "--quiet", "HEAD").Run() != nil
+	}
+	if dirty {
+		rev += "+dirty"
+	}
+	return rev
 }
 
 // writeBenchDoc marshals a subcommand's measurement doc, writes it to

@@ -275,6 +275,16 @@ func (m *Model) NonzeroCount() int {
 	return n
 }
 
+// SameBits reports whether o has m's intercept and coefficients bit for
+// bit. Unlike ==, it tells -0 from +0.
+func (m *Model) SameBits(o *Model) bool {
+	same := len(m.Beta) == len(o.Beta) && math.Float64bits(m.Beta0) == math.Float64bits(o.Beta0)
+	for j := 0; same && j < len(m.Beta); j++ {
+		same = math.Float64bits(m.Beta[j]) == math.Float64bits(o.Beta[j])
+	}
+	return same
+}
+
 // Ranked is a feature with its trained coefficient.
 type Ranked struct {
 	Counter int // counter index in the program's counter space

@@ -1,7 +1,7 @@
 // Sparse analysis engine: a CSR design matrix built straight from each
-// report's nonzero counters, and a stochastic-gradient trainer whose ℓ1
-// shrinkage is applied lazily, so per-sample cost is O(nonzeros) instead
-// of O(features). Both are bit-identical to the dense implementations in
+// report's nonzero counters, and a stochastic-gradient trainer that visits
+// a sample's nonzeros and the nonzero coefficients instead of every
+// feature. Both are bit-identical to the dense implementations in
 // logreg.go, which remain as differential oracles (see DESIGN §10 for
 // the equivalence argument).
 
@@ -193,21 +193,15 @@ func (ds *SparseDataset) Project(reports []*report.Report) *SparseDataset {
 }
 
 // TrainSparse fits the same model as Train — bit for bit, given the same
-// dataset values, config, and therefore visit order — in O(nonzeros) per
-// sample instead of O(features).
+// dataset values, config, and therefore visit order — visiting only the
+// sample's nonzeros and the nonzero coefficients instead of every feature.
 //
-// The dense trainer soft-thresholds every nonzero coefficient once per
-// sample, even when the sample does not touch the feature: an untouched
-// coefficient's update is Beta[j] += step·g·0 (a float64 no-op) followed
-// by one shrink step. TrainSparse defers that work: owed[j] counts the
-// samples whose shrinkage has not yet been applied to Beta[j], and the
-// arrears are paid the next time feature j is touched (or at the end of
-// training), replaying the identical one-compare-one-subtract threshold
-// steps in the identical order. Because a coefficient driven to zero
-// stays zero under further shrinkage, the catch-up loop stops early, so
-// its amortized cost is bounded by the shrink steps the dense trainer
-// would have executed on nonzero coefficients — without the dense
-// trainer's O(features) scan per sample.
+// The dense trainer skips feature j only when x[j] == 0 and Beta[j] == 0;
+// every other feature gets Beta[j] += step·g·x[j] and one soft-threshold
+// step. That set is the active list here: the nonzero coefficients plus
+// the sample's features. Each threshold step touches only its own
+// coefficient, so the list's order does not matter, and step·g·0 leaves
+// an untouched nonzero coefficient unchanged.
 func TrainSparse(ds *SparseDataset, conf TrainConfig) *Model {
 	defer telemetry.StartSpan("logreg.train_sparse").End()
 	if conf.StepSize == 0 {
@@ -221,84 +215,77 @@ func TrainSparse(ds *SparseDataset, conf TrainConfig) *Model {
 	rng := rand.New(rand.NewSource(conf.Seed))
 	step := conf.StepSize
 	shrink := step * conf.Lambda
-	rows := ds.Rows()
-	perm := make([]int, rows)
-	// applied[j] = number of samples whose shrinkage is already reflected
-	// in Beta[j]; t = samples processed so far.
-	applied := make([]int, features)
-	t := 0
+	perm := make([]int, ds.Rows())
+	// active[:n] lists the features with nonzero coefficients, on[j] marks
+	// them. A row's feature is written to active[n] before on[j] says
+	// whether it is new, hence the one spare slot.
+	active := make([]int32, features+1)
+	on := make([]uint8, features)
+	n := 0
 	for epoch := 0; epoch < conf.Epochs; epoch++ {
 		permute(rng, perm)
 		for _, i := range perm {
-			lo, hi := ds.RowStart[i], ds.RowStart[i+1]
-			// Pay the shrinkage arrears for this sample's features first,
-			// so the margin sees the coefficients the dense trainer would
-			// have at this point.
-			z := m.Beta0
-			for e := lo; e < hi; e++ {
-				j := ds.Cols[e]
-				if shrink != 0 {
-					m.Beta[j] = catchUp(m.Beta[j], t-applied[j], shrink)
-				}
-				z += m.Beta[j] * ds.Vals[e]
-			}
-			mu := 1 / (1 + math.Exp(-z))
+			cols, vals := ds.row(i)
+			mu := 1 / (1 + math.Exp(-margin(m.Beta0, m.Beta, cols, vals)))
 			g := float64(ds.Y[i]) - mu
-			m.Beta0 += step * g
-			for e := lo; e < hi; e++ {
-				j := ds.Cols[e]
-				b := m.Beta[j] + step*g*ds.Vals[e]
-				// ℓ1 shrinkage with clipping at zero (truncated gradient),
-				// identical to the dense update.
-				switch {
-				case b > shrink:
-					b -= shrink
-				case b < -shrink:
-					b += shrink
-				default:
-					b = 0
-				}
-				m.Beta[j] = b
-				applied[j] = t + 1
+			sg := step * g
+			m.Beta0 += sg
+			for e, j := range cols {
+				m.Beta[j] += sg * vals[e]
+				active[n] = j
+				n += int(1 - on[j])
+				on[j] = 1
 			}
-			t++
-		}
-	}
-	if shrink != 0 {
-		for j := range m.Beta {
-			m.Beta[j] = catchUp(m.Beta[j], t-applied[j], shrink)
+			n = threshold(m.Beta, active[:n], on, shrink)
 		}
 	}
 	return m
 }
 
-// catchUp applies `owed` deferred soft-threshold steps to b, stopping
-// early once b reaches zero (where further shrinkage is a fixpoint).
-// Each step is the dense trainer's exact compare-and-subtract, so the
-// result is bit-identical to applying them eagerly.
-func catchUp(b float64, owed int, shrink float64) float64 {
-	for ; owed > 0 && b != 0; owed-- {
-		switch {
-		case b > shrink:
-			b -= shrink
-		case b < -shrink:
-			b += shrink
-		default:
-			b = 0
+// threshold applies one ℓ1 shrinkage step with clipping at zero
+// (truncated gradient) to each listed coefficient, without a branch, and
+// compacts the list down to the coefficients still nonzero. With d =
+// |b| - shrink, b becomes d carrying b's sign when d > 0 and +0 otherwise:
+// rounding is symmetric in sign, so that is the dense trainer's b-shrink
+// or b+shrink exactly, and a NaN clips to +0 as in its switch.
+func threshold(beta []float64, active []int32, on []uint8, shrink float64) int {
+	const signBit = 1 << 63
+	k := 0
+	for _, j := range active {
+		bits := math.Float64bits(beta[j])
+		d := math.Float64frombits(bits&^signBit) - shrink
+		keep := uint8(0)
+		if d > 0 {
+			keep = 1
 		}
+		beta[j] = math.Float64frombits((math.Float64bits(d) | bits&signBit) & -uint64(keep))
+		active[k] = j
+		on[j] = keep
+		k += int(keep)
 	}
-	return b
+	return k
 }
 
-// probSparse computes the crash probability for CSR row i, accumulating
-// coefficient terms in the same ascending-column order as the dense
-// prob, so the sum is bit-identical.
-func (m *Model) probSparse(ds *SparseDataset, i int) float64 {
-	z := m.Beta0
-	for e := ds.RowStart[i]; e < ds.RowStart[i+1]; e++ {
-		z += m.Beta[ds.Cols[e]] * ds.Vals[e]
+// row returns CSR row i's column indices and values.
+func (ds *SparseDataset) row(i int) ([]int32, []float64) {
+	lo, hi := ds.RowStart[i], ds.RowStart[i+1]
+	return ds.Cols[lo:hi], ds.Vals[lo:hi]
+}
+
+// margin returns z plus the row's coefficient terms, summed in the dense
+// prob's ascending-column order so the result is bit-identical.
+func margin(z float64, beta []float64, cols []int32, vals []float64) float64 {
+	vals = vals[:len(cols)]
+	for e, j := range cols {
+		z += beta[j] * vals[e]
 	}
-	return 1 / (1 + math.Exp(-z))
+	return z
+}
+
+// probSparse computes the crash probability for CSR row i.
+func (m *Model) probSparse(ds *SparseDataset, i int) float64 {
+	cols, vals := ds.row(i)
+	return 1 / (1 + math.Exp(-margin(m.Beta0, m.Beta, cols, vals)))
 }
 
 // AccuracySparse returns the fraction of rows classified correctly — the

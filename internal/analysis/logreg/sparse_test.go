@@ -1,6 +1,7 @@
 package logreg
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -88,28 +89,98 @@ func TestBuildSparseDatasetMatchesDense(t *testing.T) {
 	}
 }
 
-func TestTrainSparseMatchesDense(t *testing.T) {
-	reports := synthDB(500, 60, 3, 9, 21)
-	dense := BuildDataset(reports, nil)
-	sparse := BuildSparseDataset(reports, nil)
-	for _, lambda := range []float64{0, 0.1, 0.3, 1.0} {
-		conf := TrainConfig{Lambda: lambda, StepSize: 1e-2, Epochs: 25, Seed: 5}
-		dm := Train(dense, conf)
-		sm := TrainSparse(sparse, conf)
-		if dm.Beta0 != sm.Beta0 {
-			t.Errorf("lambda %g: Beta0 %v != %v", lambda, sm.Beta0, dm.Beta0)
+// sparseSynthDB makes n reports with perRow random nonzero counters each
+// among `counters`; crashes also set the last counter, and report n/2 has
+// every counter nonzero.
+func sparseSynthDB(n, counters, perRow int, seed int64) []*report.Report {
+	rng := rand.New(rand.NewSource(seed))
+	var out []*report.Report
+	for i := 0; i < n; i++ {
+		crash := rng.Intn(4) == 0
+		c := make([]uint64, counters)
+		for k := 0; k < perRow; k++ {
+			c[rng.Intn(counters)] = uint64(1 + rng.Intn(4))
 		}
-		if !reflect.DeepEqual(sm.Beta, dm.Beta) {
-			for j := range dm.Beta {
-				if dm.Beta[j] != sm.Beta[j] {
-					t.Errorf("lambda %g: Beta[%d] %v != %v", lambda, j, sm.Beta[j], dm.Beta[j])
+		if crash {
+			c[counters-1] = uint64(3 + rng.Intn(3))
+		}
+		if i == n/2 {
+			for j := range c {
+				c[j] = uint64(1 + rng.Intn(3))
+			}
+		}
+		out = append(out, &report.Report{Program: "p", Crashed: crash, Counters: c})
+	}
+	return out
+}
+
+// reenters reports whether some coefficient of the dense trainer is
+// nonzero at the end of one epoch, zero at the end of a later one, and
+// nonzero again after that.
+func reenters(ds *Dataset, conf TrainConfig) bool {
+	const nonzero, clipped = 1, 2
+	seen := make([]int, len(ds.FeatureIdx))
+	for e := 1; e <= conf.Epochs; e++ {
+		c := conf
+		c.Epochs = e
+		for j, b := range Train(ds, c).Beta {
+			switch {
+			case b != 0 && seen[j] == clipped:
+				return true
+			case b != 0:
+				seen[j] = nonzero
+			case seen[j] == nonzero:
+				seen[j] = clipped
+			}
+		}
+	}
+	return false
+}
+
+func TestTrainSparseMatchesDense(t *testing.T) {
+	cases := []struct {
+		name    string
+		reports []*report.Report
+		// reenter requires some coefficient to clip to zero and come back
+		// under every positive lambda.
+		reenter bool
+	}{
+		{"dense-ish", synthDB(500, 60, 3, 9, 21), false},
+		// A few nonzeros per row among several hundred features, plus one
+		// row where every feature is nonzero: that row can fill the active
+		// list, so adding it writes to the spare slot.
+		{"sparse", sparseSynthDB(300, 400, 4, 22), true},
+	}
+	for _, c := range cases {
+		dense := BuildDataset(c.reports, nil)
+		sparse := BuildSparseDataset(c.reports, nil)
+		for _, lambda := range []float64{0, 0.1, 0.3, 1.0} {
+			conf := TrainConfig{Lambda: lambda, StepSize: 1e-2, Epochs: 25, Seed: 5}
+			dm := Train(dense, conf)
+			sm := TrainSparse(sparse, conf)
+			if !sm.SameBits(dm) {
+				if math.Float64bits(dm.Beta0) != math.Float64bits(sm.Beta0) {
+					t.Errorf("%s, lambda %g: Beta0 %v != %v", c.name, lambda, sm.Beta0, dm.Beta0)
+				}
+				for j := range dm.Beta {
+					if math.Float64bits(dm.Beta[j]) != math.Float64bits(sm.Beta[j]) {
+						t.Errorf("%s, lambda %g: Beta[%d] %v != %v", c.name, lambda, j, sm.Beta[j], dm.Beta[j])
+					}
+				}
+				t.Fatalf("%s, lambda %g: coefficients differ", c.name, lambda)
+			}
+			for j, b := range sm.Beta {
+				if b == 0 && math.Signbit(b) {
+					t.Fatalf("%s, lambda %g: Beta[%d] is -0", c.name, lambda, j)
 				}
 			}
-			t.Fatalf("lambda %g: coefficients differ", lambda)
-		}
-		// Accuracy over the same rows must also agree bitwise.
-		if da, sa := dm.Accuracy(dense), sm.AccuracySparse(sparse); da != sa {
-			t.Errorf("lambda %g: accuracy %v != %v", lambda, sa, da)
+			// Accuracy over the same rows must also agree bitwise.
+			if da, sa := dm.Accuracy(dense), sm.AccuracySparse(sparse); da != sa {
+				t.Errorf("%s, lambda %g: accuracy %v != %v", c.name, lambda, sa, da)
+			}
+			if c.reenter && lambda > 0 && !reenters(dense, conf) {
+				t.Errorf("%s, lambda %g: no coefficient clipped to zero and re-entered", c.name, lambda)
+			}
 		}
 	}
 }
@@ -147,7 +218,7 @@ func TestCrossValidateSparseParallelMatchesDenseSerial(t *testing.T) {
 	if dl != sl {
 		t.Fatalf("selected lambda %g != %g", sl, dl)
 	}
-	if dm.Beta0 != sm.Beta0 || !reflect.DeepEqual(sm.Beta, dm.Beta) {
+	if !sm.SameBits(dm) {
 		t.Fatal("selected models differ")
 	}
 	if !reflect.DeepEqual(sm.TopFeatures(10), dm.TopFeatures(10)) {

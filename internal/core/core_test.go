@@ -269,7 +269,7 @@ func TestBCStudySparseMatchesDenseOracle(t *testing.T) {
 	if sparse.Lambda != dense.Lambda {
 		t.Errorf("lambda %g != %g", sparse.Lambda, dense.Lambda)
 	}
-	if sparse.Model.Beta0 != dense.Model.Beta0 || !reflect.DeepEqual(sparse.Model.Beta, dense.Model.Beta) {
+	if !sparse.Model.SameBits(dense.Model) {
 		t.Error("models differ")
 	}
 	if sparse.TestAccuracy != dense.TestAccuracy {
