@@ -15,6 +15,7 @@ import (
 
 	"cbi/internal/analysis/score"
 	"cbi/internal/collect"
+	"cbi/internal/collect/collecttest"
 	"cbi/internal/monitor"
 	"cbi/internal/quality"
 	"cbi/internal/report"
@@ -153,7 +154,9 @@ type ingestMeasure struct {
 
 // runIngestOnce replays bodies against a fresh server through the real
 // HTTP handler stack (in process, no TCP — the comparison targets the
-// ingest pipeline, not the kernel's socket path). Elapsed time runs
+// ingest pipeline, not the kernel's socket path); the sync rounds go
+// through collecttest.SyncHandler, which folds inside the request
+// through Submit. Elapsed time runs
 // until the final Aggregate snapshot returns, so the staged pipeline
 // pays for draining its rings: both modes are timed to full ingest
 // completion, not first acknowledgment.
@@ -164,16 +167,15 @@ func runIngestOnce(staged bool, mode collect.Mode, shards, submitters int, bodie
 	srv.ExposeTelemetry = false
 	srv.Shards = shards
 	srv.Monitor = monitor.New(monitor.Config{TopK: 3, EveryReports: 0})
-	if staged {
-		// Ring sized for the whole workload and a generous deadline:
-		// throughput cells measure the pipeline, not back-pressure, so
-		// any shed here is a bug (the gate checks Shed == 0).
-		srv.StageCapacity = ingestBatches * ingestBatchSize
-		srv.StageWait = time.Second
-	} else {
-		srv.Staging = collect.StagingOff
-	}
+	// Ring sized for the whole workload and a generous deadline:
+	// throughput cells measure the pipeline, not back-pressure, so any
+	// shed here is a bug (the gate checks Shed == 0).
+	srv.StageCapacity = ingestBatches * ingestBatchSize
+	srv.StageWait = time.Second
 	h := srv.Handler()
+	if !staged {
+		h = collecttest.SyncHandler(srv)
+	}
 	defer srv.Stop()
 
 	lat := make([][]time.Duration, submitters)

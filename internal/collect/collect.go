@@ -7,16 +7,16 @@
 // holding its own aggregate (and report store in StoreAll mode), so
 // concurrent submissions scale with cores instead of serializing on one
 // mutex. Shards are merged lazily when a snapshot is taken — legal
-// because the §2.5 feedback statistics are order-free. Clients may POST
-// one report per request (/report) or amortize the round-trip by
-// batching many reports into a single /reports request.
+// because the §2.5 feedback statistics are order-free. Clients POST a
+// batch of reports to /reports, or a single one; /report is an alias of
+// the same handler.
 //
-// By default HTTP ingest is additionally staged (see staging.go): the
-// handlers only decode, validate, and enqueue into per-shard ring
-// buffers, background folders do the folding in lock-amortized batches,
-// and overload is answered with 503 + Retry-After instead of unbounded
-// queueing. Set Staging to StagingOff for the synchronous fold-in-handler
-// path, which the staged pipeline is bit-identical to.
+// HTTP ingest is staged (see staging.go): the handler only decodes,
+// validates, and enqueues into per-shard ring buffers, background
+// folders do the folding in lock-amortized batches, and overload is
+// answered with 503 + Retry-After instead of unbounded queueing. The
+// fold-in-handler oracle the staged pipeline is bit-identical to lives
+// in package collecttest.
 //
 // The server exposes the operational surface a deployed collector needs:
 // Prometheus metrics at /metrics, a liveness/drain signal at /healthz,
@@ -28,6 +28,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/bits"
@@ -61,20 +62,6 @@ const (
 	// discards it (§5's privacy posture: a compromised collector cannot
 	// reveal any individual trace).
 	AggregateOnly
-)
-
-// Staging selects the ingest pipeline the HTTP handlers use.
-type Staging int
-
-const (
-	// StagingOn (the zero value) stages HTTP ingest through per-shard
-	// ring buffers drained by background folder goroutines; handlers
-	// only decode, validate, and enqueue.
-	StagingOn Staging = iota
-	// StagingOff folds synchronously inside the handler — the
-	// bit-identity oracle the staged pipeline is tested and benchmarked
-	// against.
-	StagingOff
 )
 
 // ShutdownTimeout bounds how long Stop waits for in-flight report POSTs
@@ -233,14 +220,9 @@ type Server struct {
 	// check when disabled.
 	Quality *quality.Engine
 
-	// Staging selects staged (default) or synchronous HTTP ingest; see
-	// staging.go. Direct Submit calls always fold synchronously either
-	// way. Set before the first submission or Handler call.
-	Staging Staging
-
 	// StageCapacity is the per-shard staging-ring size in reports,
-	// rounded up to a power of two (default 1024). A /reports batch
-	// larger than the ring bypasses staging and folds synchronously
+	// rounded up to a power of two (default 1024). A batch larger than
+	// the ring bypasses staging and folds synchronously through Submit
 	// rather than being unconditionally shed.
 	StageCapacity int
 
@@ -289,15 +271,23 @@ type Server struct {
 	shardMask uint64
 	shards    []ingestShard
 
-	// Staged-ingest state (nil/zero when Staging is off); see staging.go.
+	// Staged-ingest state; see staging.go.
 	rings         []stageRing
 	stageCap      int
 	stageWaitFor  time.Duration
 	stageRR       atomic.Uint64 // round-robin ring cursor for batches
 	stageStop     chan struct{}
 	stageStopOnce sync.Once
-	stageStopped  atomic.Bool
 	stageWG       sync.WaitGroup
+
+	// ingestGate orders ingest against the points that must see all of
+	// it. The handler holds the read side from its stopped check through
+	// enqueue (or fold) and spill append. stopStaging takes the write
+	// side to set stageStopped, after which both ingest routes answer
+	// 503; spill snapshots and federation cuts take it (with spill on)
+	// around drain, capture, persist and compact.
+	ingestGate   sync.RWMutex
+	stageStopped bool // under ingestGate
 
 	// Cached /stats response; see handleStats.
 	statsMu sync.Mutex
@@ -366,12 +356,10 @@ func (s *Server) init() {
 		// Recover persisted state before staging and the monitor exist:
 		// replay folds directly into the freshly allocated shards.
 		s.initSpill()
-		if s.Staging == StagingOn {
-			// Before the Monitor starts: its snapshot worker reaches the
-			// drain barrier through ScoreState, so the rings and folders
-			// must exist first.
-			s.initStaging()
-		}
+		// Before the Monitor starts: its snapshot worker reaches the
+		// drain barrier through ScoreState, so the rings and folders
+		// must exist first.
+		s.initStaging()
 		if s.Monitor != nil {
 			s.Monitor.Bind(s, s.reg)
 			s.Monitor.Start()
@@ -420,8 +408,8 @@ func (s *Server) Health() *telemetry.Health { return &s.health }
 func (s *Server) Handler() http.Handler {
 	s.init()
 	mux := http.NewServeMux()
-	mux.Handle("/report", s.instrument("/report", http.HandlerFunc(s.handleReport)))
-	mux.Handle("/reports", s.instrument("/reports", http.HandlerFunc(s.handleReports)))
+	mux.Handle("/report", s.instrument("/report", s.handleIngest(false)))
+	mux.Handle("/reports", s.instrument("/reports", s.handleIngest(true)))
 	mux.Handle("/stats", s.instrument("/stats", http.HandlerFunc(s.handleStats)))
 	if s.AcceptMerges {
 		mux.Handle("/merge", s.instrument("/merge", http.HandlerFunc(s.handleMerge)))
@@ -528,18 +516,12 @@ func (s *Server) countRequest(endpoint string, code int) {
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request, ingest *trace.Span) ([]byte, bool) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, MaxBodyBytes+1))
 	if err != nil {
-		s.m.rejectedRead.Inc()
-		s.Quality.ObserveRejected(quality.ReasonRead, body)
-		ingest.SetAttr("outcome", "rejected-read")
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		s.reject(w, ingest, s.m.rejectedRead, quality.ReasonRead, body, http.StatusBadRequest, err.Error())
 		return nil, false
 	}
 	if len(body) > MaxBodyBytes {
-		s.m.rejectedSize.Inc()
-		s.Quality.ObserveRejected(quality.ReasonTooLarge, body)
-		ingest.SetAttr("outcome", "rejected-too-large")
-		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", MaxBodyBytes),
-			http.StatusRequestEntityTooLarge)
+		s.reject(w, ingest, s.m.rejectedSize, quality.ReasonTooLarge, body,
+			http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", MaxBodyBytes))
 		return nil, false
 	}
 	ingest.SetAttr("bytes", strconv.Itoa(len(body)))
@@ -548,105 +530,152 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, ingest *trace.
 	return body, true
 }
 
-func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	s.Quality.ObserveEndpoint(false)
-	if r.Method != http.MethodPost {
-		s.m.rejectedMethod.Inc()
-		s.Quality.ObserveRejected(quality.ReasonMethod, nil)
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	// Continue the client's trace across the wire (nil-safe throughout:
-	// with no Tracer every span below is nil and records nothing).
-	ingest := s.Tracer.ContinueSpan("server.ingest", r.Header.Get(trace.Header))
-	defer ingest.End()
-	body, ok := s.readBody(w, r, ingest)
-	if !ok {
-		return
-	}
-	decodeSpan := ingest.StartChild("server.decode")
-	t0 := time.Now()
-	rep, err := report.Decode(body)
-	s.m.decodeSeconds.Observe(time.Since(t0).Seconds())
-	decodeSpan.End()
-	if err != nil {
-		s.m.rejectedDecode.Inc()
-		s.Quality.ObserveRejected(quality.ReasonDecode, body)
-		ingest.SetAttr("outcome", "rejected-decode")
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	ingest.SetAttr("run_id", strconv.FormatUint(rep.RunID, 10))
-	if s.stagingActive() {
-		// Staged hot path: validate and enqueue; the shard folder does
-		// the fold. The 202 below is a durable accept — the drain
-		// barrier guarantees the report reaches every later snapshot.
-		if err := s.validate(rep); err != nil {
-			s.m.rejectedFold.Inc()
-			s.Quality.ObserveRejected(quality.ReasonFold, nil)
-			ingest.SetAttr("outcome", "rejected-fold")
-			http.Error(w, err.Error(), http.StatusBadRequest)
+// reject answers a refused ingest request: it bumps the reason's
+// collect_reports_rejected_total counter and hands the body to the
+// quality engine, which keeps it for /debug/badreports.
+func (s *Server) reject(w http.ResponseWriter, ingest *trace.Span, c *telemetry.Counter, reason quality.Reason, body []byte, code int, msg string) {
+	c.Inc()
+	s.Quality.ObserveRejected(reason, body)
+	ingest.SetAttr("outcome", "rejected-"+reason.String())
+	http.Error(w, msg, code)
+}
+
+// handleIngest is the one ingest handler, mounted at /reports and, as
+// an alias, at /report; batchRoute marks /reports, the only route that
+// feeds the quality engine's endpoint:/reports count and the batch
+// counters. A body is a batch (report.EncodeBatch) or a single report.
+// It is decoded against the collector's shape and validated as a whole
+// — one bad report rejects the request and folds nothing — then staged
+// onto one ring in a single reservation, and acknowledged with 202.
+func (s *Server) handleIngest(batchRoute bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.Quality.ObserveEndpoint(batchRoute)
+		if r.Method != http.MethodPost {
+			s.reject(w, nil, s.m.rejectedMethod, quality.ReasonMethod, nil, http.StatusMethodNotAllowed, "POST only")
 			return
 		}
-		// Build the sparse cache before the report crosses goroutines:
-		// Nonzeros mutates on first call, and after the enqueue both the
-		// handler (accounting) and the folder (fold) read the report.
-		rep.Nonzeros()
-		ring := &s.rings[s.shardIndex(rep.RunID)]
-		sp := s.spill
-		if sp != nil {
-			sp.gate.RLock()
-		}
-		ok := s.stageEnqueue(ring, []*report.Report{rep}, ingest)
-		var spErr error
-		if ok && sp != nil {
-			spErr = s.spillAppend(frameReport(body))
-		}
-		if sp != nil {
-			sp.gate.RUnlock()
-		}
+		// Continue the client's trace across the wire (nil-safe
+		// throughout: with no Tracer every span below is nil).
+		ingest := s.Tracer.ContinueSpan("server.ingest", r.Header.Get(trace.Header))
+		defer ingest.End()
+		body, ok := s.readBody(w, r, ingest)
 		if !ok {
-			s.shed(w, ingest, 1)
 			return
 		}
-		if spErr != nil {
-			s.spillFail(w, ingest, spErr)
+		decodeSpan := ingest.StartChild("server.decode")
+		t0 := time.Now()
+		reps, err := report.DecodeBody(body, int(s.shape.Load()))
+		s.m.decodeSeconds.Observe(time.Since(t0).Seconds())
+		decodeSpan.End()
+		if err != nil && !errors.Is(err, report.ErrShape) {
+			s.reject(w, ingest, s.m.rejectedDecode, quality.ReasonDecode, body, http.StatusBadRequest, err.Error())
 			return
 		}
-		s.accountAccepted(rep)
+		// A shape the decoder refused, and any program or shape mismatch
+		// Validate finds, is a fold rejection of the whole request.
+		for i := 0; err == nil && i < len(reps); i++ {
+			err = s.Validate(reps[i])
+		}
+		if err != nil {
+			s.reject(w, ingest, s.m.rejectedFold, quality.ReasonFold, body, http.StatusBadRequest, err.Error())
+			return
+		}
+		ingest.SetAttr("batch", strconv.Itoa(len(reps)))
+		if len(reps) == 1 {
+			ingest.SetAttr("run_id", strconv.FormatUint(reps[0].RunID, 10))
+		}
+		if !s.stage(w, ingest, body, reps) {
+			return
+		}
+		if batchRoute {
+			s.m.batchesAccepted.Inc()
+			s.m.batchReportsIn.Add(uint64(len(reps)))
+			s.m.batchReports.Observe(float64(len(reps)))
+		}
+		ingest.SetAttr("outcome", "accepted")
+		if s.reg.LogEnabled() {
+			ev := map[string]any{"endpoint": r.URL.Path, "reports": len(reps), "bytes": len(body)}
+			if len(reps) == 1 {
+				ev["run_id"], ev["program"], ev["crashed"] = reps[0].RunID, reps[0].Program, reps[0].Crashed
+			}
+			s.reg.Event("reports_accepted", ev)
+		}
+		w.WriteHeader(http.StatusAccepted)
+	}
+}
+
+// stage hands validated reports to the folders and journals the body
+// when spill is on. The whole request lands on one ring in a single
+// reservation: all or nothing, one folder lock acquisition, and a shed
+// request can be retried wholesale. A single report goes to its run-ID
+// shard's ring, a batch to the next ring round-robin; any ring is as
+// good as the run-ID shard — the statistics are order-free and
+// snapshots merge every shard (DESIGN §13). A batch larger than a ring
+// folds directly through Submit instead of being shed unconditionally.
+// stage answers every failure itself (503 once stopped or when shed,
+// 500 when the journal append fails) and reports whether the request
+// was accepted.
+func (s *Server) stage(w http.ResponseWriter, ingest *trace.Span, body []byte, reps []*report.Report) bool {
+	for _, rep := range reps {
+		// Pre-build each report's sparse cache: Nonzeros mutates on first
+		// call, and after the enqueue the report is shared with the folder.
+		rep.Nonzeros()
+	}
+	var frames []byte
+	if s.spill != nil {
+		// A batch body's frame region is byte-identical to the log
+		// framing and splices in verbatim; a single report gets a frame.
+		var isBatch bool
+		if frames, isBatch = report.BatchFrames(body); !isBatch {
+			frames = frameReport(body)
+		}
+	}
+	s.ingestGate.RLock()
+	if s.stageStopped {
+		// The folders are gone and a federated edge has made its last
+		// cut: anything folded now would never be pushed or persisted.
+		s.ingestGate.RUnlock()
+		ingest.SetAttr("outcome", "stopped")
+		http.Error(w, "collector stopped", http.StatusServiceUnavailable)
+		return false
+	}
+	staged := len(reps) <= s.stageCap
+	if staged {
+		ring := s.shardIndex(reps[0].RunID)
+		if len(reps) > 1 {
+			ring = s.stageRR.Add(1) & s.shardMask
+		}
+		if !s.stageEnqueue(&s.rings[ring], reps, ingest) {
+			s.ingestGate.RUnlock()
+			s.shed(w, ingest, len(reps))
+			return false
+		}
 	} else {
 		foldSpan := ingest.StartChild("server.fold")
-		sp := s.spill
-		if sp != nil {
-			sp.gate.RLock()
-		}
-		err = s.Submit(rep)
-		var spErr error
-		if err == nil && sp != nil {
-			spErr = s.spillAppend(frameReport(body))
-		}
-		if sp != nil {
-			sp.gate.RUnlock()
+		for _, rep := range reps {
+			if err := s.Submit(rep); err != nil {
+				// Unreachable: the whole batch was validated, and validation
+				// pins the one shape and program every shard folds.
+				panic(fmt.Sprintf("collect: oversize batch fold: %v", err))
+			}
 		}
 		foldSpan.End()
-		if err != nil {
-			ingest.SetAttr("outcome", "rejected-fold")
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if spErr != nil {
-			s.spillFail(w, ingest, spErr)
-			return
+	}
+	var spErr error
+	if s.spill != nil {
+		spErr = s.spillAppend(frames)
+	}
+	s.ingestGate.RUnlock()
+	if spErr != nil {
+		s.spillFail(w, ingest, spErr)
+		return false
+	}
+	if staged {
+		for _, rep := range reps {
+			s.accountAccepted(rep)
 		}
 	}
-	ingest.SetAttr("outcome", "accepted")
-	if s.reg.LogEnabled() {
-		s.reg.Event("report_accepted", map[string]any{
-			"run_id": rep.RunID, "program": rep.Program,
-			"crashed": rep.Crashed, "bytes": len(body),
-		})
-	}
-	w.WriteHeader(http.StatusAccepted)
+	return true
 }
 
 // shed answers a request whose reports could not be enqueued before the
@@ -679,16 +708,20 @@ func (s *Server) spillFail(w http.ResponseWriter, ingest *trace.Span, err error)
 }
 
 // accountAccepted records the accept-time metrics and quality
-// observations for one staged report. It runs in the handler after the
-// enqueue succeeds and before the 202, so client-visible accounting
-// (accepted counts, quarantine forensics, quality sketches) never lags
-// the acknowledgment; only fold latency and the monitor's fold
-// notifications happen later, in the folder.
+// observations for one report — the one accept-accounting routine of
+// Submit and the staged path. A staged report is accounted in the
+// handler after the enqueue and before the 202, so client-visible
+// accounting (accepted counts, quarantine forensics, quality sketches)
+// never lags the acknowledgment; only fold latency and the monitor's
+// fold notifications happen later, in the folder.
 func (s *Server) accountAccepted(rep *report.Report) {
 	s.m.accepted.Inc()
 	nz := rep.Nonzeros()
 	s.m.reportNonzeros.Observe(float64(len(nz)))
 	if wire := rep.WireLen(); wire > 0 {
+		// Per-report wire size (batch members individually; requests as a
+		// whole are collect_request_bytes). In-process submissions have no
+		// wire form and are skipped.
 		s.m.reportBytes.Observe(float64(wire))
 	}
 	if rep.Lenient() {
@@ -702,146 +735,6 @@ func (s *Server) accountAccepted(rep *report.Report) {
 		}
 		s.Quality.ObserveAccepted(rep.RunID, len(rep.Counters), rep.WireLen(), len(nz), total, rep.Crashed)
 	}
-}
-
-// handleReports ingests a batched payload (report.EncodeBatch) in one
-// round-trip. The batch is validated as a whole before any report is
-// folded, so a rejected batch leaves no partial state behind. A plain
-// single-report body is also accepted, so old clients can be pointed at
-// /reports unchanged.
-func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
-	s.Quality.ObserveEndpoint(true)
-	if r.Method != http.MethodPost {
-		s.m.rejectedMethod.Inc()
-		s.Quality.ObserveRejected(quality.ReasonMethod, nil)
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	ingest := s.Tracer.ContinueSpan("server.ingest", r.Header.Get(trace.Header))
-	defer ingest.End()
-	body, ok := s.readBody(w, r, ingest)
-	if !ok {
-		return
-	}
-	decodeSpan := ingest.StartChild("server.decode")
-	t0 := time.Now()
-	var reps []*report.Report
-	var err error
-	if report.IsBatch(body) {
-		reps, err = report.DecodeBatch(body)
-	} else {
-		var rep *report.Report
-		rep, err = report.Decode(body)
-		reps = []*report.Report{rep}
-	}
-	s.m.decodeSeconds.Observe(time.Since(t0).Seconds())
-	decodeSpan.End()
-	if err != nil {
-		s.m.rejectedDecode.Inc()
-		s.Quality.ObserveRejected(quality.ReasonDecode, body)
-		ingest.SetAttr("outcome", "rejected-decode")
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	ingest.SetAttr("batch", strconv.Itoa(len(reps)))
-	s.init()
-	// Validate the whole batch up front: shape and program mismatches
-	// reject everything, so concurrent batches never half-apply.
-	for _, rep := range reps {
-		if err := s.validate(rep); err != nil {
-			s.m.rejectedFold.Inc()
-			s.Quality.ObserveRejected(quality.ReasonFold, body)
-			ingest.SetAttr("outcome", "rejected-fold")
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-	}
-	// Spill framing for the whole request: a batch body's frame region
-	// is byte-identical to the log framing and splices in verbatim; a
-	// plain single-report body gets one frame built around it.
-	var spFrames []byte
-	if s.spill != nil {
-		if fr, isBatch := report.BatchFrames(body); isBatch {
-			spFrames = fr
-		} else {
-			spFrames = frameReport(body)
-		}
-	}
-	if s.stagingActive() && len(reps) <= s.stageCap {
-		// Whole batch onto one round-robin ring in a single atomic
-		// reservation: all-or-nothing, one folder lock acquisition, and
-		// a shed batch can be retried wholesale. Any ring is as good as
-		// the run-ID shard — the statistics are order-free and snapshots
-		// merge every shard (DESIGN §13). Oversize batches (> ring
-		// capacity) fall through to the synchronous path below.
-		for _, rep := range reps {
-			// Pre-build each report's sparse cache: Nonzeros mutates on
-			// first call, and after the enqueue the report is shared
-			// with the folder goroutine.
-			rep.Nonzeros()
-		}
-		ring := &s.rings[s.stageRR.Add(1)&s.shardMask]
-		sp := s.spill
-		if sp != nil {
-			sp.gate.RLock()
-		}
-		ok := s.stageEnqueue(ring, reps, ingest)
-		var spErr error
-		if ok && sp != nil {
-			spErr = s.spillAppend(spFrames)
-		}
-		if sp != nil {
-			sp.gate.RUnlock()
-		}
-		if !ok {
-			s.shed(w, ingest, len(reps))
-			return
-		}
-		if spErr != nil {
-			s.spillFail(w, ingest, spErr)
-			return
-		}
-		for _, rep := range reps {
-			s.accountAccepted(rep)
-		}
-	} else {
-		foldSpan := ingest.StartChild("server.fold")
-		sp := s.spill
-		if sp != nil {
-			sp.gate.RLock()
-		}
-		var spErr error
-		for _, rep := range reps {
-			if err := s.Submit(rep); err != nil {
-				if sp != nil {
-					sp.gate.RUnlock()
-				}
-				foldSpan.End()
-				ingest.SetAttr("outcome", "rejected-fold")
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-		}
-		if sp != nil {
-			spErr = s.spillAppend(spFrames)
-			sp.gate.RUnlock()
-		}
-		foldSpan.End()
-		if spErr != nil {
-			s.spillFail(w, ingest, spErr)
-			return
-		}
-	}
-	s.m.batchesAccepted.Inc()
-	s.m.batchReportsIn.Add(uint64(len(reps)))
-	s.m.batchReports.Observe(float64(len(reps)))
-	ingest.SetAttr("outcome", "accepted")
-	if s.reg.LogEnabled() {
-		s.reg.Event("batch_accepted", map[string]any{
-			"reports": len(reps), "bytes": len(body),
-		})
-	}
-	w.WriteHeader(http.StatusAccepted)
 }
 
 // Stats is the JSON summary served at /stats.
@@ -926,11 +819,11 @@ func writeStats(w http.ResponseWriter, st Stats) {
 	}
 }
 
-// validate checks a report against the server's program and counter
+// Validate checks a report against the server's program and counter
 // shape without folding it. An "accept any" server fixes its shape from
 // the first non-empty report, atomically, so every shard folds against
 // the same expectation.
-func (s *Server) validate(rep *report.Report) error {
+func (s *Server) Validate(rep *report.Report) error {
 	if s.program != "" && rep.Program != "" && rep.Program != s.program {
 		return fmt.Errorf("report: program %q does not match collector %q", rep.Program, s.program)
 	}
@@ -949,46 +842,27 @@ func (s *Server) validate(rep *report.Report) error {
 }
 
 // Submit folds a report into the server state directly (used by
-// in-process fleets and by the HTTP handlers). It records fold latency
-// and the accepted/rejected counters, so every ingestion path is
-// measured. Safe for concurrent use: reports stripe across shards by
-// run ID.
+// in-process fleets, and by the ingest handler for a batch larger than
+// a staging ring). It records fold latency and the accepted/rejected
+// counters, so every ingestion path is measured. Safe for concurrent
+// use: reports stripe across shards by run ID.
 func (s *Server) Submit(rep *report.Report) error {
 	s.init()
 	t0 := time.Now()
 	err := s.fold(rep)
 	s.m.foldSeconds.Observe(time.Since(t0).Seconds())
-	nz := rep.Nonzeros()
-	s.m.reportNonzeros.Observe(float64(len(nz)))
 	if err != nil {
 		s.m.rejectedFold.Inc()
 		s.Quality.ObserveRejected(quality.ReasonFold, nil)
 		return err
 	}
-	s.m.accepted.Inc()
-	if wire := rep.WireLen(); wire > 0 {
-		// Per-report wire size (batch members individually; requests as a
-		// whole are collect_request_bytes). In-process submissions have no
-		// wire form and are skipped.
-		s.m.reportBytes.Observe(float64(wire))
-	}
-	if rep.Lenient() {
-		s.m.quarantined.Inc()
-		s.Quality.ObserveQuarantined(rep.RunID, rep.WireLen())
-	}
-	if s.Quality != nil {
-		var total uint64
-		for _, c := range nz {
-			total += c.Value
-		}
-		s.Quality.ObserveAccepted(rep.RunID, len(rep.Counters), rep.WireLen(), len(nz), total, rep.Crashed)
-	}
+	s.accountAccepted(rep)
 	s.Monitor.ReportFolded()
 	return nil
 }
 
 func (s *Server) fold(rep *report.Report) error {
-	if err := s.validate(rep); err != nil {
+	if err := s.Validate(rep); err != nil {
 		return err
 	}
 	sh := s.shardFor(rep.RunID)
@@ -1007,7 +881,7 @@ func (s *Server) foldShardLocked(sh *ingestShard, rep *report.Report) error {
 	}
 	if sh.acc != nil {
 		if err := sh.acc.Fold(rep); err != nil {
-			// Unreachable: validate() accepted the same shape agg.Fold just
+			// Unreachable: Validate() accepted the same shape agg.Fold just
 			// folded, and Accum applies the identical shape rule.
 			panic(fmt.Sprintf("collect: score fold: %v", err))
 		}
@@ -1023,22 +897,11 @@ func (s *Server) foldShardLocked(sh *ingestShard, rep *report.Report) error {
 	return nil
 }
 
-// DB returns a snapshot of the stored reports (StoreAll mode). Shard
-// stores are merged and ordered by run ID (stable for ties), so the
-// snapshot is deterministic regardless of ingest interleaving.
+// DB returns a snapshot of the stored reports (StoreAll mode), ordered
+// by run ID (stable for ties), so the snapshot is deterministic
+// regardless of ingest interleaving.
 func (s *Server) DB() *report.DB {
-	s.init()
-	s.drainStaging()
-	db := report.NewDB(s.program, int(s.shape.Load()))
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		db.Reports = append(db.Reports, sh.db.Reports...)
-		sh.mu.Unlock()
-	}
-	sort.SliceStable(db.Reports, func(i, j int) bool {
-		return db.Reports[i].RunID < db.Reports[j].RunID
-	})
+	_, _, db := s.snapshot(false, false, true)
 	return db
 }
 
@@ -1046,19 +909,7 @@ func (s *Server) DB() *report.DB {
 // order-free merge of every shard's fold, identical to a serial fold of
 // the same reports.
 func (s *Server) Aggregate() *report.Aggregate {
-	s.init()
-	s.drainStaging()
-	agg := report.NewAggregate(s.program, int(s.shape.Load()))
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		err := agg.Merge(sh.agg)
-		sh.mu.Unlock()
-		if err != nil {
-			// Unreachable: validate() fixes one shape for every shard.
-			panic(fmt.Sprintf("collect: shard merge: %v", err))
-		}
-	}
+	agg, _, _ := s.snapshot(true, false, false)
 	return agg
 }
 
@@ -1070,53 +921,63 @@ func (s *Server) Aggregate() *report.Aggregate {
 // acknowledged before the call — the consistency argument is DESIGN
 // §11, extended to staged ingest in §13. It implements monitor.Source.
 func (s *Server) ScoreState() *score.Accum {
-	s.init()
-	s.drainStaging()
-	acc := score.NewAccum(int(s.shape.Load()), s.Sites)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		if sh.acc == nil {
-			continue
-		}
-		sh.mu.Lock()
-		err := acc.Merge(sh.acc)
-		sh.mu.Unlock()
-		if err != nil {
-			// Unreachable: validate() fixes one shape for every shard.
-			panic(fmt.Sprintf("collect: score merge: %v", err))
-		}
-	}
+	_, acc, _ := s.snapshot(false, true, false)
 	return acc
 }
 
 // ScoreStateAndDB captures the scoring statistics and the stored
-// reports in one pass, taking each shard's accumulator and report slice
-// under a single lock acquisition. Because every report enters both
-// structures under that same lock, the pair describes exactly the same
-// report subset — the verification hook concurrency tests use to check
-// live rankings against the offline oracle mid-ingest (StoreAll only).
+// reports in one pass. Because every report enters both structures
+// under the same shard lock, the pair describes exactly the same report
+// subset — the verification hook concurrency tests use to check live
+// rankings against the offline oracle mid-ingest (StoreAll only).
 func (s *Server) ScoreStateAndDB() (*score.Accum, *report.DB) {
+	_, acc, db := s.snapshot(false, true, true)
+	return acc, db
+}
+
+// snapshot is the one shard-merge routine behind every snapshot: after
+// the staging drain barrier it merges each shard into the requested
+// aggregate, accumulator and report store under a single lock
+// acquisition per shard, so whatever it returns describes one report
+// subset. The store comes back ordered by run ID.
+func (s *Server) snapshot(withAgg, withAcc, withDB bool) (agg *report.Aggregate, acc *score.Accum, db *report.DB) {
 	s.init()
 	s.drainStaging()
-	acc := score.NewAccum(int(s.shape.Load()), s.Sites)
-	db := report.NewDB(s.program, int(s.shape.Load()))
+	shape := int(s.shape.Load())
+	if withAgg {
+		agg = report.NewAggregate(s.program, shape)
+	}
+	if withAcc {
+		acc = score.NewAccum(shape, s.Sites)
+	}
+	if withDB {
+		db = report.NewDB(s.program, shape)
+	}
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		var err error
-		if sh.acc != nil {
+		if agg != nil {
+			err = agg.Merge(sh.agg)
+		}
+		if err == nil && acc != nil && sh.acc != nil {
 			err = acc.Merge(sh.acc)
 		}
-		db.Reports = append(db.Reports, sh.db.Reports...)
+		if db != nil {
+			db.Reports = append(db.Reports, sh.db.Reports...)
+		}
 		sh.mu.Unlock()
 		if err != nil {
-			panic(fmt.Sprintf("collect: score merge: %v", err))
+			// Unreachable: Validate() fixes one shape for every shard.
+			panic(fmt.Sprintf("collect: shard merge: %v", err))
 		}
 	}
-	sort.SliceStable(db.Reports, func(i, j int) bool {
-		return db.Reports[i].RunID < db.Reports[j].RunID
-	})
-	return acc, db
+	if db != nil {
+		sort.SliceStable(db.Reports, func(i, j int) bool {
+			return db.Reports[i].RunID < db.Reports[j].RunID
+		})
+	}
+	return agg, acc, db
 }
 
 // Start listens on addr ("127.0.0.1:0" for an ephemeral port) and serves

@@ -348,34 +348,17 @@ type serverCut struct {
 // immutable span slice), so it can become the next diff baseline
 // without cloning.
 func (s *Server) captureCut() serverCut {
-	s.drainStaging()
-	agg := report.NewAggregate(s.program, int(s.shape.Load()))
-	var acc *score.Accum
-	if s.accumsEnabled() {
-		acc = score.NewAccum(int(s.shape.Load()), s.Sites)
-	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		err := agg.Merge(sh.agg)
-		if err == nil && acc != nil && sh.acc != nil {
-			err = acc.Merge(sh.acc)
-		}
-		sh.mu.Unlock()
-		if err != nil {
-			// Unreachable: validate() fixes one shape for every shard.
-			panic(fmt.Sprintf("collect: cut merge: %v", err))
-		}
-	}
+	agg, acc, _ := s.snapshot(true, s.accumsEnabled(), false)
 	return serverCut{agg: agg, acc: acc, qual: s.Quality.TotalsDigest()}
 }
 
 // federateCut captures the current state, diffs it against the last
 // cut's baseline, and — when the delta is non-empty — seals it as the
 // next epoch's immutable payload. With spill enabled the cut and the
-// state persist happen under the spill write-gate, so the persisted
-// seed always equals the new baseline and the truncated log only ever
-// contains reports the seed already covers (AggregateOnly mode).
+// state persist happen under the write side of ingestGate, so the
+// persisted seed always equals the new baseline and the truncated log
+// only ever contains reports the seed already covers (AggregateOnly
+// mode).
 // Caller holds f.mu.
 func (s *Server) federateCut() {
 	f := s.fed
@@ -384,8 +367,8 @@ func (s *Server) federateCut() {
 	}
 	sp := s.spill
 	if sp != nil {
-		sp.gate.Lock()
-		defer sp.gate.Unlock()
+		s.ingestGate.Lock()
+		defer s.ingestGate.Unlock()
 	}
 	cut := s.captureCut()
 	aggDelta, err := cut.agg.Diff(f.baseAgg)
@@ -581,7 +564,7 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.init()
-	// Shape authentication, mirroring validate(): an "accept any" root
+	// Shape authentication, mirroring Validate(): an "accept any" root
 	// adopts the first claimed shape atomically, then every later merge
 	// must agree.
 	if s.program != "" && env.program != "" && env.program != s.program {

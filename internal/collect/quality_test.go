@@ -1,7 +1,9 @@
 package collect
 
 import (
+	"bytes"
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -34,6 +36,34 @@ func TestQualityEndpointsMounted(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("GET %s: %s", path, resp.Status)
 		}
+	}
+
+	// A shape mismatch on /report is a fold rejection, and its payload
+	// is listed on /debug/badreports like any other rejected body.
+	mismatch := (&report.Report{RunID: 5, Program: "p", Counters: make([]uint64, 9)}).Encode()
+	rejected, err := http.Post(base+"/report", "application/octet-stream", bytes.NewReader(mismatch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rejected.Body.Close()
+	if rejected.StatusCode != http.StatusBadRequest {
+		t.Fatalf("shape mismatch on /report: %s, want 400", rejected.Status)
+	}
+	badList, err := http.Get(base + "/debug/badreports")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var listed struct {
+		Reports []quality.BadReport `json:"reports"`
+	}
+	err = json.NewDecoder(badList.Body).Decode(&listed)
+	badList.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(listed.Reports) != 1 || listed.Reports[0].Reason != "fold" ||
+		listed.Reports[0].Hex != hex.EncodeToString(mismatch) {
+		t.Errorf("/debug/badreports = %+v, want the mismatched payload under reason fold", listed.Reports)
 	}
 
 	bare := NewServer("p", 3, AggregateOnly)

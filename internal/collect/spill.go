@@ -11,11 +11,11 @@
 // per-edge merge cursors. Snapshots are written tmp+rename, so the
 // state file is always a complete image.
 //
-// The ordering contract that makes recovery exact is a reader-writer
-// gate: HTTP handlers enqueue-then-append under gate.RLock, and a
-// snapshot takes gate.Lock, runs the staging drain barrier, captures
-// the merged state, writes it, and only then compacts the log
-// (AggregateOnly mode). Holding the write gate across that whole
+// The ordering contract that makes recovery exact is the server's
+// ingest gate, a reader-writer lock: the HTTP ingest handler
+// enqueues-then-appends under its read side, and a snapshot takes the
+// write side, runs the staging drain barrier, captures the merged
+// state, writes it, and only then compacts the log (AggregateOnly mode). Holding the write gate across that whole
 // sequence guarantees every logged report is folded into the captured
 // seed before the log is truncated, and every report accepted after the
 // capture lands in the fresh log — so seed ∪ log always covers
@@ -68,14 +68,10 @@ const (
 
 // spillState is the runtime of the persistence layer.
 type spillState struct {
-	// gate is the append/snapshot ordering contract: handlers hold the
-	// read side around enqueue+append, snapshots hold the write side
-	// around drain+capture+persist+compact.
-	gate      sync.RWMutex
 	logPath   string
 	statePath string
 	logF      *os.File
-	closed    bool // write side of gate
+	closed    bool // under Server.ingestGate
 	replayed  int
 	restored  *fedRestore // non-nil when a state file was loaded
 
@@ -249,10 +245,11 @@ func (s *Server) replaySpillLog(sp *spillState) {
 	}
 }
 
-// spillAppend journals pre-framed report bytes. The caller holds
-// gate.RLock, so no snapshot can interleave between the staging enqueue
-// (or synchronous fold) and this append. One Write call per request
-// keeps concurrent appenders' frames contiguous (O_APPEND).
+// spillAppend journals pre-framed report bytes. The caller holds the
+// read side of ingestGate, so no snapshot can interleave between the
+// staging enqueue (or oversize-batch fold) and this append. One Write
+// call per request keeps concurrent appenders' frames contiguous
+// (O_APPEND).
 func (s *Server) spillAppend(frames []byte) error {
 	sp := s.spill
 	if sp.closed {
@@ -426,7 +423,7 @@ func (s *Server) writeSpillState(data []byte) error {
 // persistSpillLocked writes the snapshot for a cut and compacts the log
 // (AggregateOnly mode: every logged report is folded into the seed by
 // the time the caller captured it, so the log restarts empty). Caller
-// holds gate.Lock and — when federation is active — fed.mu.
+// holds ingestGate and — when federation is active — fed.mu.
 func (s *Server) persistSpillLocked(cut serverCut) error {
 	if err := s.writeSpillState(s.buildSpillState(cut)); err != nil {
 		return err
@@ -445,8 +442,8 @@ func (s *Server) persistSpillLocked(cut serverCut) error {
 // always equals the diff baseline.
 func (s *Server) spillSnapshot() {
 	sp := s.spill
-	sp.gate.Lock()
-	defer sp.gate.Unlock()
+	s.ingestGate.Lock()
+	defer s.ingestGate.Unlock()
 	if sp.closed {
 		return
 	}
@@ -499,12 +496,12 @@ func (s *Server) stopSpill() {
 	if s.fed == nil {
 		s.spillSnapshot()
 	}
-	sp.gate.Lock()
+	s.ingestGate.Lock()
 	sp.closed = true
 	if sp.logF != nil {
 		sp.logF.Close()
 	}
-	sp.gate.Unlock()
+	s.ingestGate.Unlock()
 }
 
 // spillCloseAbrupt is the Crash() path: release the descriptor without
@@ -519,10 +516,10 @@ func (s *Server) spillCloseAbrupt() {
 		sp.loopStopOnce.Do(func() { close(sp.loopStop) })
 		<-sp.loopDone
 	}
-	sp.gate.Lock()
+	s.ingestGate.Lock()
 	sp.closed = true
 	if sp.logF != nil {
 		sp.logF.Close()
 	}
-	sp.gate.Unlock()
+	s.ingestGate.Unlock()
 }

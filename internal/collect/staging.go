@@ -1,14 +1,14 @@
-// Staged ingest: the lock-free hot path between the HTTP handlers and
-// the shard folds.
+// Staged ingest: the lock-free hot path between the HTTP ingest handler
+// and the shard folds.
 //
-// With Staging on (the default), /report and /reports handlers only
-// decode, validate, and enqueue into fixed-size per-shard MPSC ring
-// buffers — no mutex on the producer side. One background folder
-// goroutine per shard drains its ring in batches and performs the
-// agg/accum/DB folds under the shard lock, amortizing one lock
-// acquisition over a whole batch. The idiom is the biscuit kernel's
-// bounded circular trap buffer: a hot producer decoupled from a slower
-// consumer by atomic head/tail cursors over a power-of-two slot array.
+// The ingest handler (/reports, and its alias /report) only decodes,
+// validates, and enqueues into fixed-size per-shard MPSC ring buffers —
+// no mutex on the producer side. One background folder goroutine per
+// shard drains its ring in batches and performs the agg/accum/DB folds
+// under the shard lock, amortizing one lock acquisition over a whole
+// batch. The idiom is the biscuit kernel's bounded circular trap buffer:
+// a hot producer decoupled from a slower consumer by atomic head/tail
+// cursors over a power-of-two slot array.
 //
 // Under overload the ring applies back-pressure instead of growing:
 // producers spin briefly, then park in short sleeps up to StageWait,
@@ -165,14 +165,6 @@ func (r *stageRing) pendingBefore(h uint64) bool { return r.folded.Load() < h }
 // ----------------------------------------------------------------------------
 // Server-side wiring
 
-// stagingActive reports whether handlers should enqueue rather than
-// fold inline. After Stop the folders are gone, so late handler calls
-// (tests driving a stopped server's Handler directly) fall back to the
-// synchronous path instead of stranding reports in the rings.
-func (s *Server) stagingActive() bool {
-	return s.rings != nil && !s.stageStopped.Load()
-}
-
 // initStaging allocates the rings and launches one folder per shard.
 // Called under initOnce, before the Monitor starts (its snapshot worker
 // calls drainStaging through ScoreState).
@@ -258,14 +250,9 @@ func (s *Server) foldLoop(i int) {
 			case <-r.kick:
 				continue
 			case <-s.stageStop:
-				// Stop drains before signaling, but sweep once more in
-				// case a straggling handler raced the stop flag.
-				for {
-					if n := r.drainInto(sc.buf); n == 0 {
-						return
-					}
-					s.foldStaged(r, sh, sc, n)
-				}
+				// stopStaging refused further ingest and drained every
+				// ring before signaling: nothing is left to fold.
+				return
 			}
 		}
 		s.foldStaged(r, sh, sc, n)
@@ -375,12 +362,8 @@ func (s *Server) foldStagedMerged(sh *ingestShard, sc *folderScratch, items []st
 // Each published snapshot (Aggregate, DB, ScoreState, ScoreStateAndDB,
 // fresh /stats, /quality) is therefore a serial fold of a definite
 // subset of the accepted reports — exactly the reports whose 202 was
-// sent before the barrier, plus possibly some newer ones. No-op when
-// staging is off.
+// sent before the barrier, plus possibly some newer ones.
 func (s *Server) drainStaging() {
-	if s.rings == nil {
-		return
-	}
 	for i := range s.rings {
 		r := &s.rings[i]
 		h := r.head.Load()
@@ -398,15 +381,19 @@ func (s *Server) drainStaging() {
 	}
 }
 
-// stopStaging drains the rings and retires the folder goroutines; part
-// of Stop, after the HTTP server has shut down (so no handler is still
-// enqueueing) and before the Monitor stops (folders notify it).
+// stopStaging refuses further HTTP ingest, drains the rings, and
+// retires the folder goroutines; part of Stop, after the HTTP server has
+// shut down and before the Monitor stops (folders notify it). Taking
+// the write side of ingestGate waits out any handler between its
+// stopped check and its enqueue, so no report is stranded in a ring.
 func (s *Server) stopStaging() {
 	if s.rings == nil {
 		return
 	}
+	s.ingestGate.Lock()
+	s.stageStopped = true
+	s.ingestGate.Unlock()
 	s.stageStopOnce.Do(func() {
-		s.stageStopped.Store(true)
 		s.drainStaging()
 		close(s.stageStop)
 	})

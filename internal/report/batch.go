@@ -20,7 +20,7 @@ var batchMagic = []byte("CBB1")
 // ErrBadBatch is returned by DecodeBatch for malformed input.
 var ErrBadBatch = errors.New("report: malformed batch encoding")
 
-// MaxBatchReports bounds how many frames DecodeBatch will accept, so a
+// MaxBatchReports bounds how many frames a batch may carry, so a
 // hostile length prefix cannot force a huge allocation.
 const MaxBatchReports = 1 << 20
 
@@ -36,12 +36,29 @@ func EncodeBatch(reports []*Report) []byte {
 
 // DecodeBatch parses a payload produced by EncodeBatch.
 func DecodeBatch(data []byte) ([]*Report, error) {
-	if len(data) < len(batchMagic) || string(data[:len(batchMagic)]) != string(batchMagic) {
+	if !IsBatch(data) {
 		return nil, ErrBadBatch
+	}
+	return DecodeBody(data, 0)
+}
+
+// DecodeBody parses a collector request body: a batch (EncodeBatch) or
+// a single report (Encode). numCounters is the receiver's shape; when it
+// is nonzero, a report declaring any other counter count fails with
+// ErrShape before its vector is allocated, and 0 accepts any count up to
+// 2^28. The batch count, like each report's nonzero count, is bounded by
+// the bytes left in the body.
+func DecodeBody(data []byte, numCounters int) ([]*Report, error) {
+	if !IsBatch(data) {
+		rep, err := decode(data, numCounters)
+		if err != nil {
+			return nil, err
+		}
+		return []*Report{rep}, nil
 	}
 	off := len(batchMagic)
 	n, w := binary.Uvarint(data[off:])
-	if w <= 0 || n > MaxBatchReports {
+	if w <= 0 || n > MaxBatchReports || n > uint64(len(data)-off-w) {
 		return nil, ErrBadBatch
 	}
 	off += w
@@ -55,7 +72,7 @@ func DecodeBatch(data []byte) ([]*Report, error) {
 		if size > uint64(len(data)-off) {
 			return nil, ErrBadBatch
 		}
-		rep, err := Decode(data[off : off+int(size)])
+		rep, err := decode(data[off:off+int(size)], numCounters)
 		if err != nil {
 			return nil, err
 		}

@@ -248,8 +248,18 @@ func (d *decoder) byteVal() byte {
 	return b
 }
 
-// Decode parses a report encoded by Encode.
-func Decode(data []byte) (*Report, error) {
+// ErrShape marks a report whose counter count differs from the one the
+// receiver expects. The shape-bounded decoders return it (wrapped)
+// before the counter vector is allocated.
+var ErrShape = errors.New("report: counter count does not match the receiver")
+
+// Decode parses a report encoded by Encode, accepting any counter count
+// up to 2^28. A receiver that knows its shape decodes with DecodeBody.
+func Decode(data []byte) (*Report, error) { return decode(data, 0) }
+
+// decode parses one report; numCounters > 0 is the only counter count
+// it accepts, 0 accepts any.
+func decode(data []byte, numCounters int) (*Report, error) {
 	if len(data) < len(magic) || string(data[:len(magic)]) != string(magic) {
 		return nil, ErrBadReport
 	}
@@ -264,17 +274,22 @@ func Decode(data []byte) (*Report, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
+	if numCounters > 0 && n != uint64(numCounters) {
+		return nil, fmt.Errorf("%w: %d counters, want %d", ErrShape, n, numCounters)
+	}
 	if n > 1<<28 {
 		return nil, ErrBadReport
 	}
-	r.Counters = make([]uint64, n)
 	nz := d.uvarint()
 	if d.err != nil {
 		return nil, d.err
 	}
-	if nz > n {
+	// Each (delta, value) pair takes at least two bytes, so a count the
+	// rest of the payload cannot hold is refused before it sizes anything.
+	if nz > n || nz > uint64(len(d.buf)-d.off)/2 {
 		return nil, ErrBadReport
 	}
+	r.Counters = make([]uint64, n)
 	// The wire format is already sparse (index-delta, value pairs), so the
 	// in-memory sparse form comes for free during decoding: downstream
 	// folds and analyses iterate it instead of rescanning the dense vector.
